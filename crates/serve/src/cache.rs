@@ -24,13 +24,28 @@
 //! reuse never changes a waveform bit.
 //!
 //! Whole circuit entries are evicted least-recently-used beyond
-//! `max_circuits`.
+//! `max_circuits`. Within an entry, numeric setups, DC operating points
+//! and group plans are each capped at [`MAX_VARIANTS`], least recently
+//! used first: every distinct what-if edit or scale scenario adds one,
+//! so without the cap a long-lived circuit would keep them all. The
+//! setups of retained what-if bases are evicted last.
 
 use matex_circuit::MnaSystem;
 use matex_core::{KrylovKind, MatexSetup, MatexSymbolic};
 use matex_dist::GroupPlan;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
+
+/// Most setups, DC operating points and group plans one circuit entry
+/// keeps (each kind capped on its own). The working set of a circuit —
+/// its base values, a few γ and source variants — fits well inside it;
+/// one-off what-if edits age out.
+pub(crate) const MAX_VARIANTS: usize = 16;
+
+/// A capped artifact map: each value carries the cache clock of its
+/// last use.
+type Stamped<K, V> = HashMap<K, (Arc<V>, u64)>;
 
 /// Key of a numeric setup: exact matrix values, variant, γ bits, and —
 /// for MEXP, whose effective `C` depends on it — the regularization ε.
@@ -75,9 +90,9 @@ struct CircuitEntry {
     anchors: Vec<Anchor>,
     /// γ-independent analyses for the other variants, by kind.
     plain: HashMap<KrylovKind, Arc<MatexSymbolic>>,
-    setups: HashMap<SetupKey, Arc<MatexSetup>>,
-    dcs: HashMap<DcKey, Arc<Vec<f64>>>,
-    plans: HashMap<PlanKey, Arc<GroupPlan>>,
+    setups: Stamped<SetupKey, MatexSetup>,
+    dcs: Stamped<DcKey, Vec<f64>>,
+    plans: Stamped<PlanKey, GroupPlan>,
     /// What-if base candidates: the systems whose setups were *fully*
     /// prepared (never corrected), keyed by value fingerprint,
     /// insertion-ordered and bounded. A later same-pattern job diffs
@@ -210,12 +225,21 @@ impl ArtifactCache {
         let clock = inner.clock;
         let entry = inner.entries.get_mut(&pattern)?;
         entry.touched = clock;
-        entry.setups.get(key).cloned()
+        touch(&mut entry.setups, key, clock)
     }
 
+    /// Caches a setup (the first insert wins). Beyond [`MAX_VARIANTS`],
+    /// evicts the least recently used setup, sparing this one (the
+    /// caller may be about to record it as a what-if base) and those of
+    /// retained what-if bases while any other is left.
     pub fn store_setup(&self, pattern: u64, key: SetupKey, setup: Arc<MatexSetup>) {
         let mut inner = self.lock();
-        inner.entry(pattern).setups.entry(key).or_insert(setup);
+        let entry = inner.entry(pattern);
+        entry.setups.entry(key).or_insert((setup, entry.touched));
+        let bases = &entry.bases;
+        evict_lru(&mut entry.setups, |k| {
+            *k == key || bases.iter().any(|(fp, _)| *fp == k.value_fp)
+        });
     }
 
     /// Quarantine eviction: drops the setup under `key` so the next job
@@ -243,21 +267,35 @@ impl ArtifactCache {
     }
 
     pub fn dc(&self, pattern: u64, key: &DcKey) -> Option<Arc<Vec<f64>>> {
-        self.lock().entries.get(&pattern)?.dcs.get(key).cloned()
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        touch(&mut inner.entries.get_mut(&pattern)?.dcs, key, clock)
     }
 
+    /// Caches a DC operating point (the first insert wins), evicting
+    /// the least recently used beyond [`MAX_VARIANTS`].
     pub fn store_dc(&self, pattern: u64, key: DcKey, x0: Arc<Vec<f64>>) {
         let mut inner = self.lock();
-        inner.entry(pattern).dcs.entry(key).or_insert(x0);
+        let entry = inner.entry(pattern);
+        entry.dcs.entry(key).or_insert((x0, entry.touched));
+        evict_lru(&mut entry.dcs, |_| false);
     }
 
     pub fn plan(&self, pattern: u64, key: &PlanKey) -> Option<Arc<GroupPlan>> {
-        self.lock().entries.get(&pattern)?.plans.get(key).cloned()
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        touch(&mut inner.entries.get_mut(&pattern)?.plans, key, clock)
     }
 
+    /// Caches a group plan (the first insert wins), evicting the least
+    /// recently used beyond [`MAX_VARIANTS`].
     pub fn store_plan(&self, pattern: u64, key: PlanKey, plan: Arc<GroupPlan>) {
         let mut inner = self.lock();
-        inner.entry(pattern).plans.entry(key).or_insert(plan);
+        let entry = inner.entry(pattern);
+        entry.plans.entry(key).or_insert((plan, entry.touched));
+        evict_lru(&mut entry.plans, |_| false);
     }
 
     /// Records a fully-prepared system as a what-if base candidate
@@ -305,6 +343,29 @@ impl ArtifactCache {
             s.plans += e.plans.len();
         }
         s
+    }
+}
+
+/// Looks up `key`, stamping it as used at `clock`.
+fn touch<K: Eq + Hash, V>(map: &mut Stamped<K, V>, key: &K, clock: u64) -> Option<Arc<V>> {
+    let (value, used) = map.get_mut(key)?;
+    *used = clock;
+    Some(value.clone())
+}
+
+/// Evicts least-recently-used entries until at most [`MAX_VARIANTS`]
+/// remain, taking entries that `spare` holds back only when no other is
+/// left.
+fn evict_lru<K: Copy + Eq + Hash, V>(map: &mut Stamped<K, V>, spare: impl Fn(&K) -> bool) {
+    while map.len() > MAX_VARIANTS {
+        let Some(victim) = map
+            .iter()
+            .min_by_key(|(k, (_, used))| (spare(k), *used))
+            .map(|(k, _)| *k)
+        else {
+            return;
+        };
+        map.remove(&victim);
     }
 }
 

@@ -44,6 +44,9 @@ pub struct EngineOptions {
     /// this, the oldest resolved job's outcome (its full waveform) is
     /// dropped and its status becomes [`JobStatus::Expired`], so a
     /// long-running service's memory is bounded by recent traffic.
+    /// Outcomes the TCP service has already streamed to a client leave
+    /// this window: they count as delivered, and only the few most
+    /// recently delivered are kept (for re-streams) before they expire.
     pub max_retained: usize,
     /// How many γ decades away a symbolic anchor may be reused
     /// (`0` = exact decade only).
@@ -232,7 +235,12 @@ struct Counters {
 }
 
 struct JobRecord {
-    spec: JobSpec,
+    /// The job until an executor takes it to run, so a resolved record
+    /// keeps no circuit alive (boxed: the table keeps one record per
+    /// job ever submitted).
+    spec: Option<Box<JobSpec>>,
+    /// Priority class ([`matex_par::Priority::class`]).
+    class: u8,
     status: JobStatus,
     submitted_at: Instant,
     /// Absolute deadline (submission time + the spec's relative one).
@@ -249,8 +257,8 @@ impl JobRecord {
     /// rank infinitely late and fall back to FIFO among themselves).
     fn rank(&self, id: JobId) -> (u8, u8, Instant, JobId) {
         match self.deadline_at {
-            Some(d) => (self.spec.priority.class(), 0, d, id),
-            None => (self.spec.priority.class(), 1, self.submitted_at, id),
+            Some(d) => (self.class, 0, d, id),
+            None => (self.class, 1, self.submitted_at, id),
         }
     }
 }
@@ -259,9 +267,20 @@ impl JobRecord {
 struct JobTable {
     records: Vec<JobRecord>,
     queue: VecDeque<JobId>,
-    /// Resolved job ids in completion order, for outcome retention.
+    /// Resolved, undelivered job ids in completion order, for outcome
+    /// retention (`max_retained`).
     resolved: VecDeque<JobId>,
+    /// Delivered job ids in delivery order (at most `MAX_DELIVERED`).
+    delivered: VecDeque<JobId>,
+    /// Predicted units of the jobs executors are running now.
+    running_units: f64,
 }
+
+/// Delivered outcomes kept for re-streams. A client that streamed a job
+/// has its waveform; keeping the newest few still lets it (or a peer)
+/// stream a recent job again, without holding one waveform per job of
+/// the last `max_retained`.
+pub(crate) const MAX_DELIVERED: usize = 32;
 
 struct Inner {
     opts: EngineOptions,
@@ -386,22 +405,24 @@ impl ScenarioEngine {
             });
         }
         let id = table.records.len() as JobId;
-        // Deadline triage: predicted completion = everything queued at
-        // or ahead of this job's rank (drained by `executors` threads in
-        // parallel) plus its own service time, converted to seconds via
-        // the calibrated per-unit cost. A deadline the estimate already
-        // rules out is refused now — cheaper for everyone than queueing
-        // a job that will be dropped at its deadline later.
+        let mut record = JobRecord {
+            spec: None,
+            class: spec.priority.class(),
+            status: JobStatus::Queued,
+            submitted_at: now,
+            deadline_at,
+            units,
+            cancel: CancelToken::new(),
+        };
+        // Deadline triage: predicted completion = the jobs running now
+        // and everything queued at or ahead of this job's rank (drained
+        // by `executors` threads in parallel) plus its own service time,
+        // converted to seconds via the calibrated per-unit cost. A
+        // deadline the estimate already rules out is refused now —
+        // cheaper for everyone than queueing a job that will be dropped
+        // at its deadline later.
         if let (Some(d), unit_secs) = (spec.deadline, self.inner.unit_secs()) {
-            let probe = JobRecord {
-                spec: spec.clone(),
-                status: JobStatus::Queued,
-                submitted_at: now,
-                deadline_at,
-                units,
-                cancel: CancelToken::new(),
-            };
-            let my_rank = probe.rank(id);
+            let my_rank = record.rank(id);
             let ahead: f64 = table
                 .queue
                 .iter()
@@ -412,7 +433,8 @@ impl ScenarioEngine {
                     r.rank(0) <= my_rank
                 })
                 .map(|r| r.units)
-                .sum();
+                .sum::<f64>()
+                + table.running_units;
             let executors = self.inner.opts.executors.max(1) as f64;
             let eta = (ahead / executors + units) * unit_secs;
             if eta > d.as_secs_f64() {
@@ -434,14 +456,8 @@ impl ScenarioEngine {
                 });
             }
         }
-        table.records.push(JobRecord {
-            spec,
-            status: JobStatus::Queued,
-            submitted_at: now,
-            deadline_at,
-            units,
-            cancel: CancelToken::new(),
-        });
+        record.spec = Some(Box::new(spec));
+        table.records.push(record);
         table.queue.push_back(id);
         let depth = table.queue.len();
         drop(table);
@@ -478,6 +494,7 @@ impl ScenarioEngine {
                 table.queue.retain(|&q| q != id);
                 let rec = &mut table.records[id as usize];
                 rec.status = JobStatus::Cancelled;
+                rec.spec = None;
                 // Trip the token too: an executor that popped the id
                 // concurrently must not start the solve.
                 rec.cancel.cancel();
@@ -557,6 +574,33 @@ impl ScenarioEngine {
         out
     }
 
+    /// Marks a done job's outcome as delivered (the TCP service calls
+    /// this once a `stream` reply was flushed). It leaves the
+    /// `max_retained` window and joins the delivered ones, of which only
+    /// the newest [`MAX_DELIVERED`] are kept; older ones expire. A
+    /// re-delivered job becomes the newest again.
+    pub(crate) fn mark_delivered(&self, id: JobId) {
+        let mut table = self.inner.lock_table();
+        let table = &mut *table;
+        if !matches!(
+            table.records.get(id as usize).map(|r| &r.status),
+            Some(JobStatus::Done(_))
+        ) {
+            return;
+        }
+        for ids in [&mut table.resolved, &mut table.delivered] {
+            if let Some(pos) = ids.iter().rposition(|&r| r == id) {
+                ids.remove(pos);
+            }
+        }
+        table.delivered.push_back(id);
+        while table.delivered.len() > MAX_DELIVERED {
+            if let Some(old) = table.delivered.pop_front() {
+                table.records[old as usize].status = JobStatus::Expired;
+            }
+        }
+    }
+
     /// A consistent snapshot of the engine's counters and cache sizes.
     ///
     /// Every field is an independent atomic, so a single read pass can
@@ -605,11 +649,12 @@ fn executor_loop(inner: &Inner) {
                     .map(|(pos, _)| pos);
                 if let Some(pos) = best {
                     let id = table.queue.remove(pos).expect("position just observed");
+                    table.running_units += table.records[id as usize].units;
                     let rec = &mut table.records[id as usize];
                     rec.status = JobStatus::Running;
                     break (
                         id,
-                        rec.spec.clone(),
+                        *rec.spec.take().expect("a queued job holds its spec"),
                         rec.submitted_at,
                         rec.deadline_at,
                         rec.units,
@@ -706,6 +751,7 @@ fn executor_loop(inner: &Inner) {
             Err(_) => inner.note_result(&outcome),
         }
         let mut table = inner.lock_table();
+        table.running_units = (table.running_units - units).max(0.0);
         table.records[id as usize].status = match outcome {
             Ok(mut out) => {
                 out.queue_wait = queue_wait;
@@ -1697,6 +1743,94 @@ mod tests {
         ));
         // Expired ids still answer polls with a stable label.
         assert_eq!(engine.status(ids[0]).unwrap().label(), "expired");
+    }
+
+    #[test]
+    fn variant_cap_bounds_setups_and_dcs_and_keeps_the_whatif_base() {
+        use crate::cache::MAX_VARIANTS;
+        let bits = |out: &JobOutcome| -> Vec<u64> {
+            out.result
+                .series()
+                .iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let engine = ScenarioEngine::new(EngineOptions::default());
+        let sys = grid(13);
+        let base = JobSpec::new(sys.clone(), spec());
+        engine.run(&base).unwrap();
+        let capped: Vec<usize> = (0..sys.num_nodes())
+            .filter(|&r| sys.c().get(r, r) > 0.0)
+            .collect();
+        // 200 distinct rank-1 edits: each leaves one corrected setup and
+        // one DC operating point behind.
+        let edits: Vec<JobSpec> = (0..200)
+            .map(|k| {
+                base.clone()
+                    .cap_scale(capped[k % capped.len()], 1.5 + 0.01 * k as f64)
+            })
+            .collect();
+        let mut outs = Vec::new();
+        for edit in &edits {
+            outs.push(engine.run(edit).unwrap());
+            let sizes = engine.stats().cache;
+            assert!(sizes.setups <= MAX_VARIANTS, "{sizes:?}");
+            assert!(sizes.dcs <= MAX_VARIANTS, "{sizes:?}");
+        }
+        // The base setup was never evicted: the late edits still correct it.
+        let late = 190;
+        for out in &outs[late..] {
+            assert_eq!(out.cache.hit_path, HitPath::Whatif);
+        }
+        // And eviction changed no bit: a fresh engine holding only the
+        // base serves the late edits identically.
+        let fresh = ScenarioEngine::new(EngineOptions::default());
+        fresh.run(&base).unwrap();
+        for (edit, out) in edits[late..].iter().zip(&outs[late..]) {
+            let again = fresh.run(edit).unwrap();
+            assert_eq!(again.cache.hit_path, HitPath::Whatif);
+            assert_eq!(bits(&again), bits(out));
+        }
+    }
+
+    #[test]
+    fn deadline_triage_counts_the_jobs_already_running() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            threads: Some(1),
+            ..EngineOptions::default()
+        });
+        // A long cold job occupies the lone executor.
+        let big = Arc::new(
+            PdnBuilder::new(24, 24)
+                .num_loads(32)
+                .num_features(3)
+                .window(1e-8)
+                .seed(14)
+                .build()
+                .unwrap(),
+        );
+        let blocker = JobSpec::new(big, TransientSpec::new(0.0, 1e-7, 1e-11).unwrap());
+        let blocker_units = engine.inner.predicted_units(&blocker);
+        let running = engine.submit(blocker).unwrap();
+        while matches!(engine.status(running), Some(JobStatus::Queued)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Nothing has completed, so the cost model is at its 1 ms/unit
+        // prior. Alone the job would fit this deadline; behind the
+        // running job it cannot.
+        let job = JobSpec::new(grid(15), spec());
+        let own_units = engine.inner.predicted_units(&job);
+        let deadline = Duration::from_secs_f64((own_units + blocker_units / 2.0) * 1e-3);
+        match engine.submit(job.deadline(deadline)) {
+            Err(ServeError::Rejected { reason, .. }) => {
+                assert!(reason.contains("unmeetable"), "reason: {reason}");
+            }
+            other => panic!("expected a deadline rejection, got {other:?}"),
+        }
+        assert!(matches!(engine.status(running), Some(JobStatus::Running)));
+        engine.cancel(running);
     }
 
     #[test]

@@ -549,6 +549,9 @@ struct Conn {
 impl Conn {
     fn connect(addr: &str, fmode: FrameMode) -> Result<Conn, ServeError> {
         let stream = TcpStream::connect(addr)?;
+        // A request goes out as soon as it is flushed, never held back
+        // by Nagle's algorithm waiting for an ACK.
+        stream.set_nodelay(true)?;
         let mut conn = Conn {
             writer: BufWriter::new(stream.try_clone()?),
             reader: BufReader::new(stream),

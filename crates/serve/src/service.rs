@@ -58,8 +58,16 @@
 //! sockets carry read/write timeouts ([`ServiceOptions::io_timeout`]),
 //! so a connection that goes silent, or a client that stops draining
 //! its receive window mid-stream, is dropped instead of pinning a
-//! handler thread forever. Multi-line responses are flushed every few
-//! lines, bounding the per-connection write buffer.
+//! handler thread forever.
+//!
+//! Each response is written with one flush on a `TCP_NODELAY` socket.
+//! The whole response is built before its first byte is written, so a
+//! mid-response flush would bound nothing; with Nagle's algorithm on,
+//! it would only hold the response's small last segment back until the
+//! client's delayed ACK arrived (tens of milliseconds per reply). Once
+//! a `stream` reply is flushed, its job counts as delivered and the
+//! engine keeps its outcome only briefly (re-streams of recent jobs
+//! still work; older ones answer `expired`).
 //!
 //! Responses to distinct requests never interleave on one connection;
 //! `stream` waveform frames are chunked so a client can process arrival
@@ -217,12 +225,7 @@ pub fn serve(
                 while !shutdown.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            // Slow-peer guard: a socket that stays
-                            // silent or stops draining for io_timeout
-                            // errors out of its blocking read/write,
-                            // and the handler thread exits.
-                            let _ = stream.set_read_timeout(opts.io_timeout);
-                            let _ = stream.set_write_timeout(opts.io_timeout);
+                            let _ = configure_accepted(&stream, opts.io_timeout);
                             let state = state.clone();
                             let _ = std::thread::Builder::new()
                                 .name("matex-serve-conn".into())
@@ -242,6 +245,17 @@ pub fn serve(
         shutdown,
         accept: Some(accept),
     })
+}
+
+/// Configures an accepted socket. Slow-peer guard: a socket that stays
+/// silent or stops draining for `io_timeout` errors out of its blocking
+/// read/write, and the handler thread exits. `TCP_NODELAY`: a response
+/// goes out as soon as it is flushed, instead of its last small segment
+/// waiting for the client's delayed ACK.
+fn configure_accepted(stream: &TcpStream, io_timeout: Option<Duration>) -> std::io::Result<()> {
+    stream.set_read_timeout(io_timeout)?;
+    stream.set_write_timeout(io_timeout)?;
+    stream.set_nodelay(true)
 }
 
 /// Bound on the per-service circuit-assembly cache. It is a pure
@@ -277,12 +291,6 @@ impl ServiceState {
     }
 }
 
-/// Flush cadence for multi-line responses: bounds the per-connection
-/// write buffer to a handful of frame lines, and surfaces a stalled
-/// peer (blocked flush + write timeout) early instead of after the
-/// whole response was materialized into the writer.
-const FLUSH_EVERY_LINES: usize = 8;
-
 /// The highest protocol version this server speaks.
 const MAX_PROTO: u32 = 2;
 
@@ -293,13 +301,17 @@ enum Payload {
     Bytes(Vec<u8>),
 }
 
-/// Per-connection negotiated state (the `hello` handshake mutates it;
-/// everything else reads it).
+/// Per-connection state: the negotiated encoding (the `hello`
+/// handshake mutates it) and the job the response being written
+/// delivers.
 #[derive(Default)]
 struct ConnState {
     /// Stream waveform chunks as binary [`WaveFrame`] records instead
     /// of JSON text lines.
     frames_binary: bool,
+    /// Set by a `stream` reply; the job is marked delivered once the
+    /// reply's flush succeeded.
+    delivers: Option<JobId>,
 }
 
 /// Flushes the connection writer, timing the flush into the engine's
@@ -338,7 +350,7 @@ fn handle_connection(stream: TcpStream, state: &ServiceState) {
             Ok(payloads) => payloads,
             Err(e) => vec![Payload::Line(error_line(&e))],
         };
-        for (i, r) in responses.iter().enumerate() {
+        for r in &responses {
             let wrote = match r {
                 Payload::Line(l) => writeln!(writer, "{l}"),
                 Payload::Bytes(b) => writer.write_all(b),
@@ -346,12 +358,12 @@ fn handle_connection(stream: TcpStream, state: &ServiceState) {
             if wrote.is_err() {
                 return;
             }
-            if (i + 1) % FLUSH_EVERY_LINES == 0 && flush_timed(&mut writer, &obs).is_err() {
-                return;
-            }
         }
         if flush_timed(&mut writer, &obs).is_err() {
             return;
+        }
+        if let Some(id) = conn.delivers.take() {
+            state.engine.mark_delivered(id);
         }
     }
 }
@@ -581,11 +593,12 @@ fn stats_line(state: &ServiceState) -> String {
 /// Emits a stream response: one meta line, then chunked waveform frames
 /// covering the whole sampled window — JSON text lines (protocol v1,
 /// the default) or length-prefixed binary [`WaveFrame`] records when
-/// the connection negotiated them.
+/// the connection negotiated them. Records the job as the one this
+/// response delivers.
 fn stream_payloads(
     req: &HashMap<String, JsonValue>,
     state: &ServiceState,
-    conn: &ConnState,
+    conn: &mut ConnState,
 ) -> Result<Vec<Payload>, ServeError> {
     let id = job_id(req)?;
     let out = state.engine.wait(id)?;
@@ -642,6 +655,7 @@ fn stream_payloads(
         line.push_str("]}");
         payloads.push(Payload::Line(line));
     }
+    conn.delivers = Some(id);
     Ok(payloads)
 }
 
@@ -964,6 +978,62 @@ mod tests {
         ] {
             assert!(trace[0].contains(site), "missing {site} in trace");
         }
+        handle.stop();
+    }
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_both_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        // Whole seconds: the kernel rounds socket timeouts to its tick.
+        for io_timeout in [ServiceOptions::default().io_timeout, None] {
+            configure_accepted(&accepted, io_timeout).unwrap();
+            assert!(accepted.nodelay().unwrap());
+            assert_eq!(accepted.read_timeout().unwrap(), io_timeout);
+            assert_eq!(accepted.write_timeout().unwrap(), io_timeout);
+        }
+    }
+
+    #[test]
+    fn streamed_outcomes_are_kept_only_briefly() {
+        use crate::engine::MAX_DELIVERED;
+        let (_engine, handle) = start();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let submit = r#"{"cmd": "submit", "pdn_nx": 6, "pdn_ny": 6, "t_stop": 1e-9, "dt_out": 2e-11, "rows": "0,1"}"#;
+        let state = |conn: &mut TcpStream, id: usize| {
+            roundtrip(conn, &format!("{{\"cmd\": \"poll\", \"job\": {id}}}"))[0].clone()
+        };
+        // Job 0 is waited for but never streamed.
+        assert!(roundtrip(&mut conn, submit)[0].contains("\"job\": 0"));
+        roundtrip(&mut conn, r#"{"cmd": "wait", "job": 0}"#);
+        let jobs = 100;
+        let mut first = Vec::new();
+        for id in 1..=jobs {
+            let sub = roundtrip(&mut conn, submit);
+            assert!(sub[0].contains(&format!("\"job\": {id}")), "{sub:?}");
+            first.push(roundtrip(
+                &mut conn,
+                &format!("{{\"cmd\": \"stream\", \"job\": {id}}}"),
+            ));
+        }
+        // Only the newest delivered outcomes remain.
+        let oldest_kept = jobs - MAX_DELIVERED + 1;
+        for id in 1..=jobs {
+            let want = if id < oldest_kept { "expired" } else { "done" };
+            let poll = state(&mut conn, id);
+            assert!(poll.contains(&format!("\"state\": \"{want}\"")), "{poll}");
+        }
+        assert!(state(&mut conn, 0).contains("\"state\": \"done\""));
+        // A re-stream inside the window is byte-identical to the first.
+        let again = roundtrip(
+            &mut conn,
+            &format!("{{\"cmd\": \"stream\", \"job\": {oldest_kept}}}"),
+        );
+        assert_eq!(again, first[oldest_kept - 1]);
+        let gone = roundtrip(&mut conn, r#"{"cmd": "stream", "job": 1}"#);
+        assert!(gone[0].contains("expired"), "{gone:?}");
         handle.stop();
     }
 
