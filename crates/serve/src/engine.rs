@@ -161,7 +161,7 @@ pub struct EngineStats {
     /// Fresh symbolic anchors replanted after a cached anchor's pivots
     /// stopped surviving replay.
     pub anchor_plants: u64,
-    /// Jobs refused at submit time (queue full or deadline provably
+    /// Jobs refused at submit time (queue full or deadline predicted
     /// unmeetable).
     pub rejected: u64,
     /// Jobs cancelled (queued or running).
@@ -227,11 +227,18 @@ struct Counters {
     panics: AtomicU64,
     retries: AtomicU64,
     quarantined: AtomicU64,
-    /// Calibration: completed-job predicted units (scaled ×1024) and
-    /// measured execution nanoseconds, so admission converts LTS-count
-    /// cost estimates into seconds using observed service times.
-    calib_units: AtomicU64,
-    calib_nanos: AtomicU64,
+}
+
+/// Queue order: priority class, deadline tier, instant, id.
+type Rank = (u8, u8, Instant, JobId);
+
+/// One job of an `Inner::schedule` forecast.
+struct Planned {
+    rank: Rank,
+    /// Predicted seconds until its outcome is delivered.
+    eta: f64,
+    /// Whether that is past its deadline.
+    late: bool,
 }
 
 struct JobRecord {
@@ -255,7 +262,7 @@ struct JobRecord {
 impl JobRecord {
     /// Queue rank: strict priority class, then EDF (deadline-less jobs
     /// rank infinitely late and fall back to FIFO among themselves).
-    fn rank(&self, id: JobId) -> (u8, u8, Instant, JobId) {
+    fn rank(&self, id: JobId) -> Rank {
         match self.deadline_at {
             Some(d) => (self.class, 0, d, id),
             None => (self.class, 1, self.submitted_at, id),
@@ -267,13 +274,117 @@ impl JobRecord {
 struct JobTable {
     records: Vec<JobRecord>,
     queue: VecDeque<JobId>,
-    /// Resolved, undelivered job ids in completion order, for outcome
-    /// retention (`max_retained`).
-    resolved: VecDeque<JobId>,
+    /// Resolved, undelivered job ids (and when they resolved) in
+    /// completion order, for outcome retention (`max_retained`).
+    resolved: VecDeque<(JobId, Instant)>,
     /// Delivered job ids in delivery order (at most `MAX_DELIVERED`).
     delivered: VecDeque<JobId>,
-    /// Predicted units of the jobs executors are running now.
-    running_units: f64,
+    /// The jobs executors are running now (at most `executors`).
+    running: Vec<RunningJob>,
+    /// When `running` last changed (their `load` is settled up to it).
+    load_at: Option<Instant>,
+    /// Seconds per predicted unit, learned from completed jobs.
+    cost: CostModel,
+}
+
+impl JobTable {
+    /// Charges each running job for the time since `running` last
+    /// changed, times how many jobs ran in it. Called on every change.
+    fn settle_load(&mut self, now: Instant) {
+        let n = self.running.len() as f64;
+        let dt = self
+            .load_at
+            .map_or(0.0, |t| now.saturating_duration_since(t).as_secs_f64());
+        for r in &mut self.running {
+            r.load += n * dt;
+        }
+        self.load_at = Some(now);
+    }
+}
+
+/// A job an executor took off the queue, for deadline triage.
+struct RunningJob {
+    id: JobId,
+    started: Instant,
+    units: f64,
+    /// Job-seconds of all running jobs while this one ran: divided by
+    /// its run time, how many jobs ran at once on average.
+    load: f64,
+}
+
+/// Admission's service-time model, learned from completed jobs.
+///
+/// Jobs running at once slow each other down when they share cores,
+/// caches and memory bandwidth with each other and with whatever else
+/// runs on the host (a client on the same machine, for one). So the
+/// cost per unit is kept per concurrency level. Like TCP's
+/// retransmission timer (RFC 6298), each level keeps a smoothed mean
+/// and a smoothed mean deviation that follow the host's current load.
+/// Deadline triage prices shared work at the mean plus `DEV_WEIGHT`
+/// deviations, so it admits a deadline when a slow run would still meet
+/// it, not an average one.
+#[derive(Debug, Default)]
+struct CostModel {
+    /// Per concurrency level (how many jobs ran at once, minus one):
+    /// seconds of execution per predicted LTS unit, as (mean,
+    /// deviation); a zero mean where no job has run at that level.
+    unit_secs: Vec<(f64, f64)>,
+    /// Seconds from a job's resolution until its outcome was delivered
+    /// (its `stream` reply flushed), for jobs a client streamed.
+    delivery_secs: f64,
+}
+
+/// Deviations added to the mean cost (see [`CostModel`]).
+const DEV_WEIGHT: f64 = 4.0;
+
+impl CostModel {
+    /// Seconds per unit before any job completed (conservative).
+    const PRIOR: f64 = 1e-3;
+    /// Weight of a new sample in the smoothed means.
+    const GAIN: f64 = 1.0 / 8.0;
+    /// Weight of a new sample in the smoothed deviations.
+    const DEV_GAIN: f64 = 1.0 / 4.0;
+
+    /// Folds in a job of `units` that ran for `wall` with `level` jobs
+    /// running at once (itself included).
+    fn observe(&mut self, units: f64, wall: Duration, level: usize) {
+        if units <= 0.0 {
+            return;
+        }
+        let x = wall.as_secs_f64() / units;
+        let at = level.max(1) - 1;
+        if self.unit_secs.len() <= at {
+            self.unit_secs.resize(at + 1, (0.0, 0.0));
+        }
+        let (mean, dev) = &mut self.unit_secs[at];
+        if *mean == 0.0 {
+            (*mean, *dev) = (x, x / 2.0);
+        } else {
+            *dev += ((x - *mean).abs() - *dev) * Self::DEV_GAIN;
+            *mean += (x - *mean) * Self::GAIN;
+        }
+    }
+
+    fn observe_delivery(&mut self, took: Duration) {
+        self.delivery_secs += (took.as_secs_f64() - self.delivery_secs) * Self::GAIN;
+    }
+
+    /// Seconds per unit with `level` jobs running at once: the mean
+    /// plus `devs` deviations. A level no job has run at yet is priced
+    /// from the nearest level below it as if running more jobs at once
+    /// gained nothing: deadline triage then admits a job at a new level
+    /// only when its deadline holds even so, and jobs without deadlines
+    /// measure the level.
+    fn unit_secs(&self, level: usize, devs: f64) -> f64 {
+        let level = level.max(1);
+        (1..=level.min(self.unit_secs.len()))
+            .rev()
+            .map(|l| (l, self.unit_secs[l - 1]))
+            .find(|&(_, (mean, _))| mean > 0.0)
+            .map_or(Self::PRIOR, |(l, (mean, dev))| {
+                (mean + devs * dev) * level as f64 / l as f64
+            })
+    }
 }
 
 /// Delivered outcomes kept for re-streams. A client that streamed a job
@@ -380,8 +491,9 @@ impl ScenarioEngine {
     /// Returns [`ServeError::ShuttingDown`] after the engine began
     /// shutting down, or [`ServeError::Rejected`] — with a
     /// `retry_after` hint computed from the queued predicted cost —
-    /// when the queue is at `max_queue` or the job's deadline is
-    /// already unmeetable under the calibrated cost estimates.
+    /// when the queue is at `max_queue`, when the job's deadline is
+    /// already unmeetable under the learned cost estimates, or when
+    /// admitting it would make a queued job miss its deadline.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, ServeError> {
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
@@ -414,30 +526,21 @@ impl ScenarioEngine {
             units,
             cancel: CancelToken::new(),
         };
-        // Deadline triage: predicted completion = the jobs running now
-        // and everything queued at or ahead of this job's rank (drained
-        // by `executors` threads in parallel) plus its own service time,
-        // converted to seconds via the calibrated per-unit cost. A
-        // deadline the estimate already rules out is refused now —
-        // cheaper for everyone than queueing a job that will be dropped
-        // at its deadline later.
-        if let (Some(d), unit_secs) = (spec.deadline, self.inner.unit_secs()) {
-            let my_rank = record.rank(id);
-            let ahead: f64 = table
-                .queue
-                .iter()
-                .map(|&q| &table.records[q as usize])
-                .filter(|r| {
-                    // Rank against the queued job's own id (any id <
-                    // ours preserves its ordering vs our probe rank).
-                    r.rank(0) <= my_rank
-                })
-                .map(|r| r.units)
-                .sum::<f64>()
-                + table.running_units;
-            let executors = self.inner.opts.executors.max(1) as f64;
-            let eta = (ahead / executors + units) * unit_secs;
-            if eta > d.as_secs_f64() {
+        // Deadline triage: a deadline the estimate already rules out is
+        // refused now — cheaper for everyone than queueing a job that
+        // will be dropped at its deadline later. So is a job that would
+        // run ahead of queued ones (EDF) and make one of them miss a
+        // deadline it would have met.
+        if let Some(d) = spec.deadline {
+            let me = record.rank(id);
+            let before = self.inner.schedule(&table, None, now);
+            let after = self
+                .inner
+                .schedule(&table, Some((me, units, deadline_at)), now);
+            let misses = |plan: &[Planned]| plan.iter().filter(|p| p.rank != me && p.late).count();
+            let eta = after.iter().find(|p| p.rank == me).map_or(0.0, |p| p.eta);
+            let displaces = misses(&after) > misses(&before);
+            if eta > d.as_secs_f64() || displaces {
                 let retry_after = self.inner.drain_estimate(&table);
                 drop(table);
                 self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
@@ -447,11 +550,15 @@ impl ScenarioEngine {
                     1,
                 );
                 return Err(ServeError::Rejected {
-                    reason: format!(
-                        "deadline unmeetable (predicted {:.1}ms > deadline {:.1}ms)",
-                        eta * 1e3,
-                        d.as_secs_f64() * 1e3
-                    ),
+                    reason: if displaces {
+                        "deadline unmeetable without a queued job missing its own".into()
+                    } else {
+                        format!(
+                            "deadline unmeetable (predicted {:.1}ms > deadline {:.1}ms)",
+                            eta * 1e3,
+                            d.as_secs_f64() * 1e3
+                        )
+                    },
                     retry_after,
                 });
             }
@@ -588,10 +695,14 @@ impl ScenarioEngine {
         ) {
             return;
         }
-        for ids in [&mut table.resolved, &mut table.delivered] {
-            if let Some(pos) = ids.iter().rposition(|&r| r == id) {
-                ids.remove(pos);
+        // A first delivery times the path from resolution to the client.
+        if let Some(pos) = table.resolved.iter().rposition(|&(r, _)| r == id) {
+            if let Some((_, resolved_at)) = table.resolved.remove(pos) {
+                table.cost.observe_delivery(resolved_at.elapsed());
             }
+        }
+        if let Some(pos) = table.delivered.iter().rposition(|&r| r == id) {
+            table.delivered.remove(pos);
         }
         table.delivered.push_back(id);
         while table.delivered.len() > MAX_DELIVERED {
@@ -649,7 +760,15 @@ fn executor_loop(inner: &Inner) {
                     .map(|(pos, _)| pos);
                 if let Some(pos) = best {
                     let id = table.queue.remove(pos).expect("position just observed");
-                    table.running_units += table.records[id as usize].units;
+                    let units = table.records[id as usize].units;
+                    let now = Instant::now();
+                    table.settle_load(now);
+                    table.running.push(RunningJob {
+                        id,
+                        started: now,
+                        units,
+                        load: 0.0,
+                    });
                     let rec = &mut table.records[id as usize];
                     rec.status = JobStatus::Running;
                     break (
@@ -715,8 +834,9 @@ fn executor_loop(inner: &Inner) {
         };
         // Accounting: cancellations are neither completions nor
         // failures; deadline givenups count as misses; completed jobs
-        // calibrate the admission cost model and count as late when they
-        // resolve past their deadline.
+        // calibrate the admission cost model (below, under the table
+        // lock) and count as late when they resolve past their deadline.
+        let exec_wall = exec_started.elapsed();
         match &outcome {
             Ok(_) => {
                 if let Some(d) = deadline_at {
@@ -727,7 +847,6 @@ fn executor_loop(inner: &Inner) {
                             .fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                inner.calibrate(units, exec_started.elapsed());
                 inner.note_result(&outcome);
             }
             Err(e) if e.is_cancelled() => {
@@ -751,7 +870,16 @@ fn executor_loop(inner: &Inner) {
             Err(_) => inner.note_result(&outcome),
         }
         let mut table = inner.lock_table();
-        table.running_units = (table.running_units - units).max(0.0);
+        let now = Instant::now();
+        table.settle_load(now);
+        if let Some(pos) = table.running.iter().position(|r| r.id == id) {
+            let ran = table.running.swap_remove(pos);
+            if outcome.is_ok() {
+                let secs = now.duration_since(ran.started).as_secs_f64();
+                let level = if secs > 0.0 { ran.load / secs } else { 1.0 };
+                table.cost.observe(units, exec_wall, level.round() as usize);
+            }
+        }
         table.records[id as usize].status = match outcome {
             Ok(mut out) => {
                 out.queue_wait = queue_wait;
@@ -763,9 +891,9 @@ fn executor_loop(inner: &Inner) {
         // Outcome retention: a long-running service must not accumulate
         // every waveform it ever computed. Beyond the limit, the oldest
         // resolved job keeps its id but drops its payload.
-        table.resolved.push_back(id);
+        table.resolved.push_back((id, Instant::now()));
         while table.resolved.len() > inner.opts.max_retained.max(1) {
-            if let Some(old) = table.resolved.pop_front() {
+            if let Some((old, _)) = table.resolved.pop_front() {
                 table.records[old as usize].status = JobStatus::Expired;
             }
         }
@@ -896,10 +1024,12 @@ impl Inner {
                     .add_labeled("engine_rejected_total", &[("reason", "admission")], 1);
                 return Err(ServeError::Rejected {
                     reason: e.to_string(),
-                    retry_after: Duration::from_millis((self.unit_secs() * 1e3).clamp(
-                        1.0,
-                        (self.opts.retry_after_cap.as_secs_f64() * 1e3).max(1.0),
-                    ) as u64),
+                    retry_after: Duration::from_millis(
+                        (self.lock_table().cost.unit_secs(1, 0.0) * 1e3).clamp(
+                            1.0,
+                            (self.opts.retry_after_cap.as_secs_f64() * 1e3).max(1.0),
+                        ) as u64,
+                    ),
                 });
             }
         };
@@ -1046,24 +1176,63 @@ impl Inner {
         }
     }
 
-    /// Calibrated seconds per LTS unit, from completed-job measurements
-    /// (a conservative 1 ms/unit prior before any job completes).
-    fn unit_secs(&self) -> f64 {
-        let units = self.counters.calib_units.load(Ordering::Relaxed);
-        if units == 0 {
-            return 1e-3;
-        }
-        let nanos = self.counters.calib_nanos.load(Ordering::Relaxed);
-        (nanos as f64 / 1e9) / (units as f64 / 1024.0)
-    }
-
-    fn calibrate(&self, units: f64, wall: Duration) {
-        self.counters
-            .calib_units
-            .fetch_add((units * 1024.0) as u64, Ordering::Relaxed);
-        self.counters
-            .calib_nanos
-            .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+    /// The queued jobs, and `extra` (rank, units, deadline) about to
+    /// join them, as the executors will run them: each executor is busy
+    /// for the rest of its running job, and jobs go in rank order to the
+    /// executor that frees up first. A job's `eta` (seconds from `now`)
+    /// adds its own execution and the usual time to deliver an outcome.
+    /// Work is priced at the cost of running as many jobs at once as
+    /// there will be, with a margin for slow runs. A lone job on an idle
+    /// engine is priced at the mean: nothing could serve it sooner, and
+    /// refusing it protects no one.
+    fn schedule(
+        &self,
+        table: &JobTable,
+        extra: Option<(Rank, f64, Option<Instant>)>,
+        now: Instant,
+    ) -> Vec<Planned> {
+        let mut jobs: Vec<(Rank, f64, Option<Instant>)> = table
+            .queue
+            .iter()
+            .map(|&q| {
+                let r = &table.records[q as usize];
+                (r.rank(q), r.units, r.deadline_at)
+            })
+            .chain(extra)
+            .collect();
+        jobs.sort_by_key(|&(rank, ..)| rank);
+        let executors = self.opts.executors.max(1);
+        let level = (table.running.len() + jobs.len()).clamp(1, executors);
+        let devs = if table.running.is_empty() && jobs.len() == 1 {
+            0.0
+        } else {
+            DEV_WEIGHT
+        };
+        let unit_secs = table.cost.unit_secs(level, devs);
+        let mut free: Vec<f64> = table
+            .running
+            .iter()
+            .map(|r| {
+                let ran = now.saturating_duration_since(r.started).as_secs_f64();
+                (r.units * unit_secs - ran).max(0.0)
+            })
+            .collect();
+        free.resize(executors.max(free.len()), 0.0);
+        jobs.into_iter()
+            .map(|(rank, units, deadline)| {
+                let first = (0..free.len())
+                    .min_by(|&a, &b| free[a].total_cmp(&free[b]))
+                    .expect("at least one executor");
+                free[first] += units * unit_secs;
+                let eta = free[first] + table.cost.delivery_secs;
+                Planned {
+                    rank,
+                    eta,
+                    late: deadline
+                        .is_some_and(|d| d.saturating_duration_since(now).as_secs_f64() < eta),
+                }
+            })
+            .collect()
     }
 
     /// Estimated time for the current queue to drain — the structured
@@ -1075,7 +1244,8 @@ impl Inner {
             .iter()
             .map(|&q| table.records[q as usize].units)
             .sum();
-        let secs = (queued / self.opts.executors.max(1) as f64) * self.unit_secs();
+        let secs = (queued / self.opts.executors.max(1) as f64)
+            * table.cost.unit_secs(self.opts.executors, 0.0);
         // Clamp to a sane hint window: at least 1ms (a plain busy signal
         // still means "back off"), at most the configured ceiling — a
         // miscalibrated cost model must not tell clients to disappear
@@ -1813,16 +1983,18 @@ mod tests {
         );
         let blocker = JobSpec::new(big, TransientSpec::new(0.0, 1e-7, 1e-11).unwrap());
         let blocker_units = engine.inner.predicted_units(&blocker);
+        // Every unit costs 10 ms, so the running job's remaining work
+        // dwarfs the time between it starting and the submit below.
+        engine.inner.lock_table().cost.unit_secs = vec![(10e-3, 0.0)];
         let running = engine.submit(blocker).unwrap();
         while matches!(engine.status(running), Some(JobStatus::Queued)) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Nothing has completed, so the cost model is at its 1 ms/unit
-        // prior. Alone the job would fit this deadline; behind the
-        // running job it cannot.
+        // Alone the job would fit this deadline; behind the running job
+        // it cannot.
         let job = JobSpec::new(grid(15), spec());
         let own_units = engine.inner.predicted_units(&job);
-        let deadline = Duration::from_secs_f64((own_units + blocker_units / 2.0) * 1e-3);
+        let deadline = Duration::from_secs_f64((own_units + blocker_units / 2.0) * 10e-3);
         match engine.submit(job.deadline(deadline)) {
             Err(ServeError::Rejected { reason, .. }) => {
                 assert!(reason.contains("unmeetable"), "reason: {reason}");
@@ -1831,6 +2003,94 @@ mod tests {
         }
         assert!(matches!(engine.status(running), Some(JobStatus::Running)));
         engine.cancel(running);
+    }
+
+    #[test]
+    fn deadline_triage_refuses_a_job_that_would_make_a_queued_one_late() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            threads: Some(1),
+            ..EngineOptions::default()
+        });
+        let big = Arc::new(
+            PdnBuilder::new(24, 24)
+                .num_loads(32)
+                .num_features(3)
+                .window(1e-8)
+                .seed(14)
+                .build()
+                .unwrap(),
+        );
+        let job =
+            |stop: f64| JobSpec::new(big.clone(), TransientSpec::new(0.0, stop, 1e-11).unwrap());
+        let blocker = job(1e-7);
+        let (a, b) = (job(2e-8), job(3e-8));
+        let units = |j: &JobSpec| engine.inner.predicted_units(j);
+        let (blocker_units, ua, ub) = (units(&blocker), units(&a), units(&b));
+        // Every unit costs 10 ms, so the slack below (`ub / 2` units)
+        // dwarfs the time between the blocker starting and the submits.
+        engine.inner.lock_table().cost.unit_secs = vec![(10e-3, 0.0)];
+        let ms = |u: f64| Duration::from_secs_f64(u * 10e-3);
+        let running = engine.submit(blocker).unwrap();
+        while matches!(engine.status(running), Some(JobStatus::Queued)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A fits behind the running job with `ub / 2` to spare.
+        let queued = engine
+            .submit(a.deadline(ms(blocker_units + ua + ub / 2.0)))
+            .unwrap();
+        // B fits too, but it is due sooner, so EDF would run it first
+        // and push A past its deadline.
+        match engine.submit(b.clone().deadline(ms(blocker_units + ub + ub / 4.0))) {
+            Err(ServeError::Rejected { reason, .. }) => {
+                assert!(reason.contains("queued job"), "reason: {reason}");
+            }
+            other => panic!("expected a deadline rejection, got {other:?}"),
+        }
+        // Due after A, B runs after it and harms no one.
+        let after = engine
+            .submit(b.deadline(ms(blocker_units + ua + ub + ub / 2.0)))
+            .unwrap();
+        for id in [after, queued, running] {
+            engine.cancel(id);
+        }
+    }
+
+    #[test]
+    fn cost_model_assumes_no_speedup_at_an_unmeasured_level() {
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        let mut cost = CostModel::default();
+        assert!(close(cost.unit_secs(3, DEV_WEIGHT), CostModel::PRIOR));
+        // First sample: 2 ms per unit, deviation half of it.
+        cost.observe(10.0, Duration::from_millis(20), 1);
+        assert!(close(cost.unit_secs(1, 0.0), 2e-3));
+        assert!(close(cost.unit_secs(1, 2.0), 4e-3));
+        // No job ran two at a time yet: two at once take twice as long.
+        assert!(close(cost.unit_secs(2, 0.0), 4e-3));
+        // Once measured, a level prices at its own mean.
+        cost.observe(10.0, Duration::from_millis(25), 2);
+        assert!(close(cost.unit_secs(2, 0.0), 2.5e-3));
+        assert!(close(cost.unit_secs(3, 0.0), 2.5e-3 * 3.0 / 2.0));
+        // Later samples move the mean by 1/8 of the difference.
+        cost.observe(10.0, Duration::from_millis(28), 1);
+        assert!(close(cost.unit_secs(1, 0.0), 2e-3 + 0.8e-3 / 8.0));
+    }
+
+    #[test]
+    fn an_idle_engine_judges_a_lone_deadline_at_the_mean_cost() {
+        let engine = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            threads: Some(1),
+            ..EngineOptions::default()
+        });
+        let job = JobSpec::new(grid(15), spec());
+        let units = engine.inner.predicted_units(&job);
+        // 1 ms per unit on average, but erratic: a slow run could take
+        // three times as long.
+        engine.inner.lock_table().cost.unit_secs = vec![(1e-3, 0.5e-3)];
+        let deadline = Duration::from_secs_f64(units * 1.5e-3);
+        let id = engine.submit(job.deadline(deadline)).unwrap();
+        engine.cancel(id);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub enum ServeError {
     /// The engine is shutting down and no longer accepts work.
     ShuttingDown,
     /// Admission refused the job at submit time (queue full or deadline
-    /// provably unmeetable). `retry_after` estimates when the queued
+    /// predicted unmeetable). `retry_after` estimates when the queued
     /// predicted cost will have drained enough for a resubmit to stand
     /// a chance.
     Rejected {

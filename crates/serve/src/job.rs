@@ -148,7 +148,7 @@ pub struct JobSpec {
     pub priority: Priority,
     /// Optional deadline, relative to submission. A deadline orders the
     /// job EDF within its priority class, lets `submit` reject it when
-    /// provably unmeetable, and makes the engine give up on it (counted
+    /// predicted unmeetable, and makes the engine give up on it (counted
     /// as a deadline miss) rather than run it uselessly late.
     pub deadline: Option<Duration>,
 }

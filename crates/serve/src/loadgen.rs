@@ -636,9 +636,12 @@ fn run_one_job(
         return Ok(JobTry::Failed);
     };
     if faults.check("loadgen.conn").is_some() {
-        // Sever the socket mid-stream: the reads below fail like a
-        // killed network path, and recovery must reconnect + resubmit.
+        // Sever the socket mid-stream and lose the rest of the reply,
+        // even frames already read ahead (one flush can deliver a reply
+        // whole), like a killed network path: recovery must reconnect
+        // and resubmit.
         conn.reader.get_ref().shutdown(Shutdown::Both).ok();
+        return Err(ServeError::Io("connection killed mid-stream".into()));
     }
     let mut ok = true;
     let mut job_hash = Fnv64::new();

@@ -46,7 +46,7 @@
 //! `priority` (`"high"` / `"normal"` / `"low"`, strict classes) and
 //! `deadline_ms` (relative deadline; orders the job EDF within its
 //! class). When admission refuses a job — queue full, or the deadline
-//! provably unmeetable under the engine's calibrated cost model — the
+//! unmeetable under the engine's learned cost model — the
 //! submit answers `{"ok": false, "code": "rejected", "retry_after_ms":
 //! N, "error": ...}` and the client should back off `retry_after_ms`
 //! before resubmitting.
@@ -84,7 +84,7 @@ use matex_par::Priority;
 use matex_waveform::{Fnv64, GroupingStrategy, WaveFrame};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -183,7 +183,19 @@ impl ServiceHandle {
     fn shutdown_now(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The accept loop blocks in `accept`: one connection of our
+            // own wakes it to see the flag. If even that cannot connect,
+            // the thread is left blocked rather than joined forever.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -205,7 +217,6 @@ pub fn serve(
 ) -> Result<ServiceHandle, ServeError> {
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let accept = {
         let shutdown = shutdown.clone();
@@ -221,9 +232,11 @@ pub fn serve(
                 // Connection handlers are detached: each exits when its
                 // client disconnects (they hold the engine alive through
                 // their shared state, so a stopped service drains
-                // naturally as clients hang up).
+                // naturally as clients hang up). `accept` blocks, so a
+                // client's first request is read the moment it connects.
                 while !shutdown.load(Ordering::Acquire) {
                     match listener.accept() {
+                        Ok(_) if shutdown.load(Ordering::Acquire) => break,
                         Ok((stream, _)) => {
                             let _ = configure_accepted(&stream, opts.io_timeout);
                             let state = state.clone();
@@ -231,9 +244,8 @@ pub fn serve(
                                 .name("matex-serve-conn".into())
                                 .spawn(move || handle_connection(stream, &state));
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // The peer reset before we took it: not fatal.
+                        Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
                         Err(_) => break,
                     }
                 }
@@ -993,6 +1005,28 @@ mod tests {
             assert!(accepted.nodelay().unwrap());
             assert_eq!(accepted.read_timeout().unwrap(), io_timeout);
             assert_eq!(accepted.write_timeout().unwrap(), io_timeout);
+        }
+    }
+
+    #[test]
+    fn stop_wakes_the_blocked_accept_loop_on_any_bind_address() {
+        let engine = Arc::new(ScenarioEngine::new(EngineOptions::default()));
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let opts = ServiceOptions {
+                addr: addr.into(),
+                ..ServiceOptions::default()
+            };
+            let handle = serve(engine.clone(), &opts).unwrap();
+            // A client served before the stop gets its answer.
+            let mut conn = TcpStream::connect(("127.0.0.1", handle.addr().port())).unwrap();
+            assert!(roundtrip(&mut conn, r#"{"cmd": "stats"}"#)[0].contains("\"ok\": true"));
+            let t0 = Instant::now();
+            handle.stop();
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "{addr}: {:?}",
+                t0.elapsed()
+            );
         }
     }
 
