@@ -60,7 +60,7 @@ pub use fp_terms::IntervalTerms;
 pub use matex_solver::{MatexOptions, MatexSolver};
 pub use reference::{reference_solution, ReferenceMethod};
 pub use result::TransientResult;
-pub use setup::MatexSetup;
+pub use setup::{MatexSetup, SetupHalf};
 pub use spec::{ObserveSpec, TransientSpec};
 pub use stats::SolveStats;
 pub use stiffness::measure_stiffness;

@@ -15,19 +15,23 @@
 //!   injects it into every job that shares them
 //!   ([`MatexSolver::with_setup`](crate::MatexSolver::with_setup)), so
 //!   repeated-structure jobs skip straight to the numeric march,
-//! * a distributed run shares one across all of its nodes
-//!   (`DistributedOptions::setup` in `matex-dist`) — the node matrices
-//!   are identical, masking only selects input columns.
+//! * a distributed run prepares one on its master and shares it with
+//!   every node (`matex_dist::run_distributed`, or an injected
+//!   `DistributedOptions::setup`) — the node matrices are identical,
+//!   masking only selects input columns. The `G` and `X1` halves are
+//!   independent ([`MatexSetup::prepare_g`], [`MatexSetup::prepare_x1`]),
+//!   so the master prepares them on two threads and joins them with
+//!   [`MatexSetup::from_halves`].
 //!
 //! Injection never changes the numerics: the factors (and therefore
 //! every substitution of the run) are the same objects a fresh
 //! preparation would produce.
 
-use crate::{CoreError, MatexOptions, MatexSymbolic, SolveStats};
+use crate::{CoreError, MatexOptions, MatexSymbolic};
 use matex_circuit::{regularize_c, MnaSystem, ValueDiff};
 use matex_krylov::{shifted_system, KrylovKind};
 use matex_sparse::{
-    CsrMatrix, LuOptions, SmwOptions, SmwRejection, SmwUpdate, SolveSchedule, SparseLu,
+    LuOptions, SmwOptions, SmwRejection, SmwUpdate, SolveSchedule, SparseLu, SymbolicLu,
 };
 use matex_sparse::{WireError, WireReader, WireWriter};
 use std::sync::Arc;
@@ -68,12 +72,6 @@ pub struct MatexSetup {
     /// The variant's `X1` factorization; `None` for I-MATEX, which
     /// reuses `lu_g`, and for corrected setups.
     lu_x1: Option<SparseLu>,
-    /// MEXP's (possibly regularized) effective `C`.
-    #[allow(dead_code)]
-    c_reg: Option<CsrMatrix>,
-    /// R-MATEX's shifted system `C + γG`.
-    #[allow(dead_code)]
-    shifted: Option<CsrMatrix>,
     sched_g: Option<SolveSchedule>,
     sched_x1: Option<SolveSchedule>,
     /// The uncorrected setup this one wraps (what-if fast path): all
@@ -93,8 +91,25 @@ pub struct MatexSetup {
     factor_time: Duration,
 }
 
+/// One independently prepared factor of a [`MatexSetup`]: the `G` half
+/// ([`MatexSetup::prepare_g`]) or the variant's `X1` half
+/// ([`MatexSetup::prepare_x1`]). The halves share nothing, so a caller
+/// may prepare them on two threads; [`MatexSetup::from_halves`] joins
+/// them into exactly the setup [`MatexSetup::prepare`] builds serially.
+#[derive(Debug, Default)]
+pub struct SetupHalf {
+    /// `None` only for I-MATEX's `X1` half, which reuses `lu_g`.
+    lu: Option<SparseLu>,
+    sched: Option<SolveSchedule>,
+    factorizations: usize,
+    refactorizations: usize,
+    time: Duration,
+}
+
 impl MatexSetup {
-    /// Performs the run-independent preparation for `(sys, opts)`.
+    /// Performs the run-independent preparation for `(sys, opts)`:
+    /// [`MatexSetup::prepare_g`] and [`MatexSetup::prepare_x1`] in turn,
+    /// joined by [`MatexSetup::from_halves`].
     ///
     /// With a shared `symbolic` analysis the factorizations become
     /// numeric replays (counted in [`MatexSetup::refactorizations`]).
@@ -111,18 +126,61 @@ impl MatexSetup {
         symbolic: Option<&MatexSymbolic>,
         with_schedules: bool,
     ) -> Result<MatexSetup, CoreError> {
+        let g = Self::prepare_g(sys, symbolic.map(MatexSymbolic::g), with_schedules)?;
+        let x1 = Self::prepare_x1(
+            sys,
+            opts,
+            symbolic.and_then(MatexSymbolic::shifted),
+            with_schedules,
+        )?;
+        Ok(Self::from_halves(sys, opts, g, x1))
+    }
+
+    /// Factors `G` (the DC condition and input terms) — by numeric
+    /// replay of `symbolic` when given, falling back to a full
+    /// factorization on pivot degradation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates factorization failures ([`CoreError::Sparse`]).
+    pub fn prepare_g(
+        sys: &MnaSystem,
+        symbolic: Option<&SymbolicLu>,
+        with_schedules: bool,
+    ) -> Result<SetupHalf, CoreError> {
         let t0 = Instant::now();
-        let mut counters = SolveStats::default();
-        let lu_g = match symbolic {
-            Some(sym) => sym.refactor_g(sys.g(), &mut counters)?,
-            None => {
-                counters.factorizations += 1;
-                SparseLu::factor(sys.g(), &LuOptions::default())?
-            }
+        let (lu, replayed) = match symbolic {
+            Some(sym) => match sym.try_refactor(sys.g())? {
+                Some(lu) => (lu, true),
+                None => (SparseLu::factor(sys.g(), sym.options())?, false),
+            },
+            None => (SparseLu::factor(sys.g(), &LuOptions::default())?, false),
         };
-        let mut c_reg = None;
-        let mut shifted = None;
-        let mut lu_x1 = None;
+        let sched = with_schedules.then(|| lu.solve_schedule());
+        Ok(SetupHalf {
+            lu: Some(lu),
+            sched,
+            factorizations: 1,
+            refactorizations: usize::from(replayed),
+            time: t0.elapsed(),
+        })
+    }
+
+    /// Factors the variant's `X1` matrix: `C + γG` for R-MATEX (by
+    /// numeric replay of `symbolic`, the shifted analysis, when given),
+    /// a regularized `C` for MEXP, nothing for I-MATEX (`X1 = G`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates factorization failures ([`CoreError::Sparse`]).
+    pub fn prepare_x1(
+        sys: &MnaSystem,
+        opts: &MatexOptions,
+        symbolic: Option<&SymbolicLu>,
+        with_schedules: bool,
+    ) -> Result<SetupHalf, CoreError> {
+        let t0 = Instant::now();
+        let mut half = SetupHalf::default();
         match opts.kind {
             KrylovKind::Standard => {
                 let c_eff = if sys.zero_c_rows().is_empty() {
@@ -130,51 +188,64 @@ impl MatexSetup {
                 } else {
                     regularize_c(sys, opts.regularize_eps).c
                 };
-                lu_x1 = Some(SparseLu::factor(&c_eff, &LuOptions::default())?);
-                counters.factorizations += 1;
-                c_reg = Some(c_eff);
+                half.lu = Some(SparseLu::factor(&c_eff, &LuOptions::default())?);
+                half.factorizations = 1;
             }
             KrylovKind::Inverted => {
                 // X1 = G: reuse the DC factorization — zero extra cost.
             }
             KrylovKind::Rational => {
-                let (sh, lu, reused) = shifted_system(
+                let (_, lu, reused) = shifted_system(
                     sys.c(),
                     sys.g(),
                     opts.gamma,
-                    symbolic.and_then(|s| s.shifted()),
+                    symbolic,
                     &LuOptions::default(),
                 )?;
-                lu_x1 = Some(lu);
-                counters.factorizations += 1;
-                counters.refactorizations += usize::from(reused);
-                shifted = Some(sh);
+                half.lu = Some(lu);
+                half.factorizations = 1;
+                half.refactorizations = usize::from(reused);
             }
         }
-        let sched_g = with_schedules.then(|| lu_g.solve_schedule());
-        let sched_x1 = match (&lu_x1, with_schedules) {
+        half.sched = match (&half.lu, with_schedules) {
             (Some(lu), true) => Some(lu.solve_schedule()),
             _ => None,
         };
-        Ok(MatexSetup {
+        half.time = t0.elapsed();
+        Ok(half)
+    }
+
+    /// Joins a `G` half and an `X1` half prepared for the same
+    /// `(sys, opts)` into a setup. Its counters and
+    /// [`MatexSetup::factor_time`] are the halves' sums — the work one
+    /// serial preparation does, wherever the halves ran.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a [`MatexSetup::prepare_g`] half.
+    pub fn from_halves(
+        sys: &MnaSystem,
+        opts: &MatexOptions,
+        g: SetupHalf,
+        x1: SetupHalf,
+    ) -> MatexSetup {
+        MatexSetup {
             kind: opts.kind,
             gamma: opts.gamma,
             regularize_eps: opts.regularize_eps,
             dim: sys.dim(),
-            lu_g: Some(lu_g),
-            lu_x1,
-            c_reg,
-            shifted,
-            sched_g,
-            sched_x1,
+            lu_g: Some(g.lu.expect("the G half holds lu(G)")),
+            lu_x1: x1.lu,
+            sched_g: g.sched,
+            sched_x1: x1.sched,
             base: None,
             smw_g: None,
             smw_x1: None,
             whatif_rank: 0,
-            factorizations: counters.factorizations,
-            refactorizations: counters.refactorizations,
-            factor_time: t0.elapsed(),
-        })
+            factorizations: g.factorizations + x1.factorizations,
+            refactorizations: g.refactorizations + x1.refactorizations,
+            factor_time: g.time + x1.time,
+        }
     }
 
     /// Wraps `base` with Sherman–Morrison–Woodbury corrections for the
@@ -254,8 +325,6 @@ impl MatexSetup {
             dim: base.dim,
             lu_g: None,
             lu_x1: None,
-            c_reg: None,
-            shifted: None,
             sched_g: None,
             sched_x1: None,
             base: Some(base),
@@ -478,8 +547,6 @@ impl MatexSetup {
             dim,
             lu_g: Some(lu_g),
             lu_x1,
-            c_reg: None,
-            shifted: None,
             sched_g,
             sched_x1,
             base: None,

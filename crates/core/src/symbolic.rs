@@ -3,21 +3,24 @@
 //! Every [`MatexSolver`](crate::MatexSolver) run factors `G` (for the DC
 //! condition and the input terms) and — on the rational variant — the
 //! shifted system `C + γG`. Across a γ sweep, across the engine
-//! comparisons of Table 1, and across the distributed framework's
-//! per-node runs, those matrices keep one nonzero pattern: only the
-//! values change (or nothing at all, for the masked node runs). A
-//! [`MatexSymbolic`] performs the sparsity analysis once and lets every
-//! subsequent run replay cheap numeric refactorizations, skipping the
-//! AMD ordering and the Gilbert–Peierls reach DFS entirely.
+//! comparisons of Table 1, and across the scenario engine's repeated
+//! jobs, those matrices keep one nonzero pattern: only the values
+//! change. A [`MatexSymbolic`] performs the sparsity analysis once and
+//! lets every subsequent run replay cheap numeric refactorizations,
+//! skipping the AMD ordering and the Gilbert–Peierls reach DFS entirely.
 //!
 //! The object is immutable after [`MatexSymbolic::analyze`], so a single
-//! `Arc<MatexSymbolic>` is shared read-only across distributed worker
-//! threads (see `matex_dist::run_distributed`).
+//! `Arc<MatexSymbolic>` can be shared read-only across threads. Its two
+//! analyses are independent ([`MatexSymbolic::analyze_g`],
+//! [`MatexSymbolic::analyze_shifted`]): the distributed master
+//! (`matex_dist::run_distributed`) runs each on its own thread, next to
+//! the one numeric replay of the same matrix that every node then
+//! shares.
 
-use crate::{CoreError, SolveStats};
+use crate::CoreError;
 use matex_circuit::MnaSystem;
 use matex_krylov::KrylovKind;
-use matex_sparse::{CsrMatrix, LuOptions, SparseLu, SymbolicLu};
+use matex_sparse::{CsrMatrix, LuOptions, SymbolicLu};
 use matex_sparse::{WireError, WireReader, WireWriter};
 
 /// One system's reusable symbolic factorizations.
@@ -54,28 +57,47 @@ pub struct MatexSymbolic {
 
 impl MatexSymbolic {
     /// Analyzes `G` and — for the rational variant — the shifted system
-    /// `C + γG` of the given options.
+    /// `C + γG` of the given options: [`MatexSymbolic::analyze_g`]
+    /// followed by [`MatexSymbolic::analyze_shifted`].
     ///
     /// # Errors
     ///
     /// Propagates sparse analysis failures ([`CoreError::Sparse`]).
     pub fn analyze(sys: &MnaSystem, opts: &crate::MatexOptions) -> Result<Self, CoreError> {
-        let lu_opts = LuOptions::default();
-        let g = SymbolicLu::analyze(sys.g(), &lu_opts)?;
-        let shifted = match opts.kind {
-            KrylovKind::Rational => {
-                let m = CsrMatrix::linear_combination(1.0, sys.c(), opts.gamma, sys.g())?;
-                Some(SymbolicLu::analyze(&m, &lu_opts)?)
-            }
-            // The inverted variant factors only G; the standard variant
-            // factors a (possibly regularized) C with its own pattern.
-            _ => None,
-        };
         Ok(MatexSymbolic {
-            lu_opts,
-            g,
-            shifted,
+            lu_opts: LuOptions::default(),
+            g: Self::analyze_g(sys)?,
+            shifted: Self::analyze_shifted(sys, opts)?,
         })
+    }
+
+    /// Analyzes `G` alone. The two analyses of [`MatexSymbolic::analyze`]
+    /// are independent, so a caller may run them on separate threads.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sparse analysis failures ([`CoreError::Sparse`]).
+    pub fn analyze_g(sys: &MnaSystem) -> Result<SymbolicLu, CoreError> {
+        Ok(SymbolicLu::analyze(sys.g(), &LuOptions::default())?)
+    }
+
+    /// Analyzes the shifted system `C + γG` alone — `None` off the
+    /// rational variant: the inverted variant factors only `G`, and the
+    /// standard variant factors a (possibly regularized) `C` with its own
+    /// pattern.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sparse analysis failures ([`CoreError::Sparse`]).
+    pub fn analyze_shifted(
+        sys: &MnaSystem,
+        opts: &crate::MatexOptions,
+    ) -> Result<Option<SymbolicLu>, CoreError> {
+        if opts.kind != KrylovKind::Rational {
+            return Ok(None);
+        }
+        let m = CsrMatrix::linear_combination(1.0, sys.c(), opts.gamma, sys.g())?;
+        Ok(Some(SymbolicLu::analyze(&m, &LuOptions::default())?))
     }
 
     /// The symbolic analysis of `G`.
@@ -124,22 +146,5 @@ impl MatexSymbolic {
             g,
             shifted,
         })
-    }
-
-    /// Factors `g` by numeric replay, falling back to a full
-    /// factorization on pivot degradation; updates the counters.
-    pub(crate) fn refactor_g(
-        &self,
-        g: &CsrMatrix,
-        stats: &mut SolveStats,
-    ) -> Result<SparseLu, CoreError> {
-        stats.factorizations += 1;
-        match self.g.try_refactor(g)? {
-            Some(lu) => {
-                stats.refactorizations += 1;
-                Ok(lu)
-            }
-            None => Ok(SparseLu::factor(g, &self.lu_opts)?),
-        }
     }
 }

@@ -10,9 +10,10 @@
 //!
 //! This crate is the master of Fig. 4:
 //!
-//! * [`run_distributed`] — group, analyze the two-phase LU symbolics
-//!   once and share them read-only with every node (each node's
-//!   factorizations become cheap numeric replays), schedule onto a
+//! * [`run_distributed`] — group, factor the grid once on the master
+//!   (the two-phase LU analysis of `G` and `C + γG` plus one numeric
+//!   replay of each, the two matrices on two threads) and share that
+//!   one setup read-only with every node, schedule onto a
 //!   worker pool (longest-processing-time order over a
 //!   [`std::thread::scope`]), run one masked solver per group against
 //!   the shared immutable system, and **stream** each finished node's

@@ -5,12 +5,12 @@ use crate::schedule::{NodeMeasurement, RunStats};
 use crate::{DistError, DistributedOptions};
 use matex_circuit::MnaSystem;
 use matex_core::{
-    CoreError, FaultKind, MatexSolver, MatexSymbolic, SolveStats, TransientEngine, TransientResult,
-    TransientSpec,
+    CoreError, FaultKind, MatexSetup, MatexSolver, MatexSymbolic, SetupHalf, SolveStats,
+    TransientEngine, TransientResult, TransientSpec,
 };
 use matex_par::ParPool;
 use matex_waveform::SpotSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,14 +45,15 @@ pub struct DistributedRun {
     /// Global transition spots (union of all LTS).
     pub gts: SpotSet,
     /// Scheduling accounting: per-group predicted-vs-measured cost and
-    /// the master's symbolic-analysis time.
+    /// the master's analysis-and-factorization time.
     pub stats: RunStats,
     /// Makespan of the pure transient phase: the *maximum* node transient
     /// time, per the paper's one-instance-per-node accounting (Table 3's
     /// `trmatex`).
     pub emulated_transient: Duration,
     /// Makespan including DC and factorization per node (Table 3's
-    /// `tr_total`).
+    /// `tr_total`); every node is charged the shared setup's
+    /// factorization time, as if it had prepared the setup itself.
     pub emulated_total: Duration,
     /// Wall time of the streaming superposition work on the master.
     pub superposition_time: Duration,
@@ -165,10 +166,15 @@ impl Superposer {
 ///
 /// Sources are partitioned under `opts.strategy`; each group becomes one
 /// subtask running a masked [`MatexSolver`] with the group's LTS against
-/// the shared immutable `sys`. The master performs the two-phase LU
-/// analysis of `G` and `C + γG` **once** ([`MatexSymbolic`]) and shares
-/// it read-only with every worker, so each node's factorizations are
-/// cheap numeric replays. Subtasks are scheduled onto a scoped worker
+/// the shared immutable `sys`. The grid is factored **once**, on the
+/// master, at the beginning of the run: it analyses `G` and `C + γG`
+/// ([`MatexSymbolic`]) and replays each analysis into one
+/// [`MatexSetup`] that every node shares read-only, so nodes do no
+/// factorization at all. The two matrices are independent, so with two
+/// or more workers their halves ([`MatexSetup::prepare_g`],
+/// [`MatexSetup::prepare_x1`]) run on two threads; an injected
+/// `opts.symbolic` skips the analyses, an injected `opts.setup` the
+/// whole phase. Subtasks are scheduled onto a scoped worker
 /// pool in longest-processing-time order (cost estimate: LTS count) and
 /// every finished node's samples are immediately superposed into the
 /// combined result in that same fixed, worker-independent schedule
@@ -186,9 +192,9 @@ impl Superposer {
 ///
 /// # Errors
 ///
-/// Returns [`DistError::Analyze`] when the shared symbolic analysis
-/// fails, [`DistError::Node`] carrying the first terminal node failure
-/// (retry budget exhausted; panics arrive as
+/// Returns [`DistError::Analyze`] when the master's shared analysis or
+/// factorization fails, [`DistError::Node`] carrying the first terminal
+/// node failure (retry budget exhausted; panics arrive as
 /// [`CoreError::Panicked`]), or [`DistError::Superposition`] if result
 /// grids mismatch (internal invariant violation).
 pub fn run_distributed(
@@ -219,29 +225,6 @@ pub fn run_distributed(
     let jobs: &[PlanJob] = plan.jobs();
     let order: &[usize] = plan.order();
 
-    // One symbolic analysis on the unmasked system; every node replays
-    // it (the matrices are identical across nodes — masking only selects
-    // input columns). An injected analysis — or an injected full setup,
-    // which embeds the factors themselves — skips this master phase.
-    let mut analyze_time = Duration::ZERO;
-    let symbolic: Option<Arc<MatexSymbolic>> = if opts.setup.is_some() {
-        None
-    } else {
-        match &opts.symbolic {
-            Some(shared) => Some(shared.clone()),
-            None => {
-                let ta = Instant::now();
-                let s =
-                    Arc::new(MatexSymbolic::analyze(sys, &opts.matex).map_err(DistError::Analyze)?);
-                analyze_time = ta.elapsed();
-                opts.obs
-                    .record_span("dist.analyze", opts.obs.job(), ta, analyze_time, &[]);
-                opts.obs.observe("dist_analyze_seconds", analyze_time);
-                Some(s)
-            }
-        }
-    };
-
     // rank[job] = position in the schedule (and summation) order.
     let mut rank = vec![0usize; jobs.len()];
     for (k, &j) in order.iter().enumerate() {
@@ -266,6 +249,37 @@ pub fn run_distributed(
     // the division (and the worker count) never changes the waveform.
     let kernel_budget = opts.par.resolve().map(|t| (t / workers).max(1));
 
+    // The master phase: one setup for every node (the matrices are
+    // identical across nodes — masking only selects input columns).
+    // Each half analyses its matrix, unless an analysis was injected,
+    // and replays it once; the halves share nothing, so a multi-worker
+    // run prepares them on two threads. An injected setup skips the
+    // phase entirely.
+    let with_schedules = kernel_budget.is_some();
+    let g_half = || -> Result<SetupHalf, CoreError> {
+        let analyzed;
+        let symbolic = match &opts.symbolic {
+            Some(shared) => shared.g(),
+            None => {
+                analyzed = MatexSymbolic::analyze_g(sys)?;
+                &analyzed
+            }
+        };
+        MatexSetup::prepare_g(sys, Some(symbolic), with_schedules)
+    };
+    let x1_half = || -> Result<SetupHalf, CoreError> {
+        let analyzed;
+        let symbolic = match &opts.symbolic {
+            Some(shared) => shared.shifted(),
+            None => {
+                analyzed = MatexSymbolic::analyze_shifted(sys, &opts.matex)?;
+                analyzed.as_ref()
+            }
+        };
+        MatexSetup::prepare_x1(sys, &opts.matex, symbolic, with_schedules)
+    };
+    let mut analyze_time = Duration::ZERO;
+
     // Worker pool: a shared queue draining the LPT order (retries first);
     // finished subtasks stream back to the master, which superposes them
     // in group order and is the sole arbiter of failure: a failed or
@@ -287,10 +301,36 @@ pub fn run_distributed(
     let mut failures: Vec<(usize, CoreError)> = Vec::new();
     let mut attempts = vec![0usize; jobs.len()];
     let mut node_retries = 0usize;
-    std::thread::scope(|scope| {
-        let (work, symbolic) = (&work, &symbolic);
+    let setup = std::thread::scope(|scope| -> Result<Arc<MatexSetup>, DistError> {
+        let setup = match &opts.setup {
+            Some(shared) => shared.clone(),
+            None => {
+                let ta = Instant::now();
+                let (g, x1) = if workers >= 2 {
+                    let x1 = scope.spawn(x1_half);
+                    let g = g_half();
+                    (g, x1.join().unwrap_or_else(|p| resume_unwind(p)))
+                } else {
+                    (g_half(), x1_half())
+                };
+                let (g, x1) = (
+                    g.map_err(DistError::Analyze)?,
+                    x1.map_err(DistError::Analyze)?,
+                );
+                let setup = Arc::new(MatexSetup::from_halves(sys, &opts.matex, g, x1));
+                if opts.symbolic.is_none() {
+                    analyze_time = ta.elapsed();
+                    opts.obs
+                        .record_span("dist.analyze", opts.obs.job(), ta, analyze_time, &[]);
+                    opts.obs.observe("dist_analyze_seconds", analyze_time);
+                }
+                setup
+            }
+        };
+        let work = &work;
         for w in 0..workers {
             let tx = tx.clone();
+            let setup = setup.clone();
             scope.spawn(move || {
                 let pool = kernel_budget.map(|b| Arc::new(ParPool::new(b)));
                 let (queue, available) = work;
@@ -347,7 +387,7 @@ pub fn run_distributed(
                             }
                             None => {}
                         }
-                        run_node(sys, spec, opts, &jobs[j], symbolic.clone(), pool.clone())
+                        run_node(sys, spec, opts, &jobs[j], setup.clone(), pool.clone())
                     }))
                     .unwrap_or_else(|payload| Err(CoreError::Panicked(panic_message(&*payload))));
                     node_span.label("ok", if outcome.is_ok() { "1" } else { "0" });
@@ -384,7 +424,7 @@ pub fn run_distributed(
                         attempts[j] += 1;
                         node_retries += 1;
                         opts.obs.add("dist_node_retries_total", 1);
-                        let (queue, available) = &work;
+                        let (queue, available) = work;
                         queue.lock().expect("work queue poisoned").retry.push(j);
                         available.notify_all();
                     } else {
@@ -396,10 +436,11 @@ pub fn run_distributed(
         }
         // Whatever ended the drain — completion, terminal failure or a
         // superposition mismatch — wake every waiting worker to exit.
-        let (queue, available) = &work;
+        let (queue, available) = work;
         queue.lock().expect("work queue poisoned").done = true;
         available.notify_all();
-    });
+        Ok(setup)
+    })?;
 
     if let Some((j, source)) = failures.into_iter().min_by_key(|&(j, _)| j) {
         // First completed failure in group order. Distinguish internal
@@ -433,6 +474,11 @@ pub fn run_distributed(
     } = sup;
     let mut result = acc.expect("at least one job ran");
     result.stats = stats;
+    // Every node reported the shared setup's preparation; the run
+    // performed it once.
+    result.stats.factorizations = setup.factorizations();
+    result.stats.refactorizations = setup.refactorizations();
+    result.stats.factor_time = setup.factor_time();
     result.engine = format!("MATEX-dist[{} x {}]", nodes.len(), engine);
     // Drained in schedule order; the public accounting is group order.
     nodes.sort_by_key(|n| n.group);
@@ -480,19 +526,14 @@ fn run_node(
     spec: &TransientSpec,
     opts: &DistributedOptions,
     job: &PlanJob,
-    symbolic: Option<Arc<MatexSymbolic>>,
+    setup: Arc<MatexSetup>,
     pool: Option<Arc<ParPool>>,
 ) -> NodeOutcome {
     let t0 = Instant::now();
     let mut solver = MatexSolver::new(opts.matex.clone())
         .with_source_mask(job.members.clone())
-        .with_lts(job.lts.clone());
-    if let Some(setup) = &opts.setup {
-        // Every node shares the one pre-built factorization set.
-        solver = solver.with_setup(setup.clone());
-    } else if let Some(sym) = symbolic {
-        solver = solver.with_symbolic(sym);
-    }
+        .with_lts(job.lts.clone())
+        .with_setup(setup);
     if let Some(pool) = pool {
         solver = solver.with_parallelism(pool);
     }
@@ -573,6 +614,91 @@ mod tests {
             );
         }
         assert!(run.stats.analyze_time > Duration::ZERO);
+    }
+
+    #[test]
+    fn run_counts_the_shared_factorization_once() {
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let run = run_distributed(&sys, &spec, &DistributedOptions::default()).unwrap();
+        assert!(run.num_groups() >= 3);
+        // G and C + γG, factored once for the whole run...
+        assert_eq!(run.result.stats.factorizations, 2);
+        assert_eq!(run.result.stats.refactorizations, 2);
+        // ...while every node still reports the setup it marched on.
+        for node in &run.nodes {
+            assert_eq!(node.stats.factorizations, 2);
+            assert_eq!(node.stats.factor_time, run.result.stats.factor_time);
+        }
+        // An injected setup is counted once too, at its own figures.
+        let setup = Arc::new(
+            matex_core::MatexSetup::prepare(&sys, &MatexOptions::default(), None, false).unwrap(),
+        );
+        let injected = run_distributed(
+            &sys,
+            &spec,
+            &DistributedOptions {
+                setup: Some(setup.clone()),
+                ..DistributedOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(injected.result.stats.factorizations, setup.factorizations());
+        assert_eq!(injected.result.stats.factor_time, setup.factor_time());
+        assert_eq!(injected.stats.analyze_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn matches_per_node_factoring_bitwise() {
+        // The computation the master's shared setup replaced: every node
+        // replays the symbolic analysis into its own factors, and the
+        // node series are summed in schedule order.
+        use matex_core::{FaultHook, FaultKind, FaultPlan};
+        let sys = small_grid();
+        let spec = TransientSpec::new(0.0, 1e-9, 2e-11).unwrap();
+        let opts = MatexOptions::default();
+        let plan = crate::plan_groups(&sys, &spec, GroupingStrategy::default());
+        let symbolic = Arc::new(MatexSymbolic::analyze(&sys, &opts).unwrap());
+        let mut legacy: Option<TransientResult> = None;
+        for &j in plan.order() {
+            let job = &plan.jobs()[j];
+            let series = MatexSolver::new(opts.clone())
+                .with_source_mask(job.members.clone())
+                .with_lts(job.lts.clone())
+                .with_symbolic(symbolic.clone())
+                .run(&sys, &spec)
+                .unwrap();
+            legacy
+                .get_or_insert_with(|| series.zeros_like())
+                .add_scaled(&series, 1.0)
+                .unwrap();
+        }
+        let legacy = legacy.unwrap();
+        for workers in [1, 2, 3] {
+            for faults in [
+                FaultHook::default(),
+                FaultHook::new(FaultPlan::new().fail_at("dist.node", 1, FaultKind::Error)),
+            ] {
+                let retried = faults.is_armed();
+                let run = run_distributed(
+                    &sys,
+                    &spec,
+                    &DistributedOptions {
+                        workers: Some(workers),
+                        faults,
+                        ..DistributedOptions::default()
+                    },
+                )
+                .unwrap();
+                assert_eq!(run.node_retries, usize::from(retried));
+                assert_eq!(
+                    legacy.series(),
+                    run.result.series(),
+                    "workers {workers}, retried {retried}"
+                );
+                assert_eq!(legacy.final_state(), run.result.final_state());
+            }
+        }
     }
 
     #[test]

@@ -75,8 +75,12 @@ pub struct RunStats {
     /// `max_g |predicted_share − measured_share|` — 0 means the LTS
     /// proxy ranked the work exactly like the wall clock did.
     pub proxy_max_error: f64,
-    /// Wall time of the master's one-off symbolic analysis that every
-    /// node's refactorizations replay.
+    /// Wall time of the master's pre-dispatch phase: the symbolic
+    /// analysis of `G` and `C + γG` and the one numeric factorization of
+    /// each that every node shares (the `dist.analyze` span). Zero when
+    /// the master ran no analysis — an injected analysis or setup; the
+    /// factorization replayed from an injected analysis is reported
+    /// only as the setup's `factor_time`.
     pub analyze_time: Duration,
     /// Sum of the nodes' `T_H` (small-expm) wall times. Together with
     /// [`RunStats::combine_time_total`] this rolls the paper's

@@ -79,32 +79,50 @@ fn no_priority_class_is_starved() {
 
 #[test]
 fn edf_runs_the_tighter_deadline_first_within_a_class() {
-    let engine = ScenarioEngine::new(EngineOptions {
-        executors: 1,
-        threads: Some(2),
-        ..EngineOptions::default()
-    });
-    // Occupy the single executor so the next two submissions queue.
-    let blocker = engine.submit(job(7, 1)).expect("blocker");
-    wait_until_running(&engine, blocker);
-    // Far deadline submitted first, near deadline second: EDF must run
-    // the near one first even though FIFO would not. Distinct seeds
-    // keep both runs cold (non-trivial), so the order is observable.
-    let far = engine
-        .submit(job(7, 2).deadline(Duration::from_secs(60)))
-        .expect("far submit");
-    let near = engine
-        .submit(job(7, 3).deadline(Duration::from_secs(30)))
-        .expect("near submit");
-    engine.wait(near).expect("near-deadline job completes");
-    // The moment the near job resolved, the far one cannot already be
-    // done — the lone executor runs them one at a time, near first.
-    assert!(
-        !matches!(engine.status(far), Some(JobStatus::Done(_))),
-        "far-deadline job finished before the tighter one"
-    );
-    engine.wait(far).expect("far-deadline job completes too");
-    assert!(engine.wait(blocker).is_ok());
+    // The scenario needs both submissions queued behind a running
+    // blocker, and the small blocker can finish before `near` is queued.
+    // That premise is checked, not assumed: when it fails the scenario is
+    // rebuilt on a fresh engine, a bounded number of times.
+    const ATTEMPTS: usize = 20;
+    for _ in 0..ATTEMPTS {
+        let engine = ScenarioEngine::new(EngineOptions {
+            executors: 1,
+            threads: Some(2),
+            ..EngineOptions::default()
+        });
+        // Far deadline submitted first, near deadline second: EDF must run
+        // the near one first even though FIFO would not. Distinct seeds
+        // keep both runs cold (non-trivial), so the order is observable;
+        // the far job is the larger one, so it cannot also finish in the
+        // moment between `near` resolving and its status being read. Both
+        // are built up front to keep the submissions close together.
+        let far_job = job(14, 2).deadline(Duration::from_secs(60));
+        let near_job = job(7, 3).deadline(Duration::from_secs(30));
+        // Occupy the single executor so the next two submissions queue.
+        let blocker = engine.submit(job(7, 1)).expect("blocker");
+        wait_until_running(&engine, blocker);
+        let far = engine.submit(far_job).expect("far submit");
+        let near = engine.submit(near_job).expect("near submit");
+        if !matches!(engine.status(blocker), Some(JobStatus::Running)) {
+            // The blocker may have freed the executor before `near` was
+            // queued, letting `far` start first: no EDF choice was made.
+            for id in [blocker, far, near] {
+                engine.wait(id).expect("every job completes");
+            }
+            continue;
+        }
+        engine.wait(near).expect("near-deadline job completes");
+        // The moment the near job resolved, the far one cannot already be
+        // done — the lone executor runs them one at a time, near first.
+        assert!(
+            !matches!(engine.status(far), Some(JobStatus::Done(_))),
+            "far-deadline job finished before the tighter one"
+        );
+        engine.wait(far).expect("far-deadline job completes too");
+        assert!(engine.wait(blocker).is_ok());
+        return;
+    }
+    panic!("the blocker finished before both submissions queued in all {ATTEMPTS} attempts");
 }
 
 #[test]
